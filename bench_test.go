@@ -17,17 +17,18 @@ import (
 	"dclue"
 )
 
-// runFigure executes one figure experiment per benchmark iteration and
-// attaches its final series points as benchmark metrics.
+// runFigure executes one experiment (a paper figure or an ablation) per
+// benchmark iteration and attaches its final series points as benchmark
+// metrics.
 func runFigure(b *testing.B, id string) {
 	b.Helper()
+	f, err := dclue.LookupFigure(id)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var last dclue.ExperimentResult
 	for i := 0; i < b.N; i++ {
-		r, ok := dclue.RunFigure(id, dclue.ExperimentOptions{Seed: 1, Quick: true})
-		if !ok {
-			b.Fatalf("unknown figure %s", id)
-		}
-		last = r
+		last = f.Run(dclue.ExperimentOptions{Seed: 1, Quick: true})
 	}
 	for _, s := range last.Series {
 		if len(s.Points) == 0 {
@@ -96,31 +97,9 @@ func BenchmarkSingleRun(b *testing.B) {
 
 // ---- Ablation benches: the design choices DESIGN.md calls out ----
 
-func runAblation(b *testing.B, id string) {
-	b.Helper()
-	var last dclue.ExperimentResult
-	for i := 0; i < b.N; i++ {
-		r, ok := dclue.RunAblation(id, dclue.ExperimentOptions{Seed: 1, Quick: true})
-		if !ok {
-			b.Fatalf("unknown ablation %s", id)
-		}
-		last = r
-	}
-	for _, s := range last.Series {
-		if len(s.Points) == 0 {
-			continue
-		}
-		p := s.Points[len(s.Points)-1]
-		b.ReportMetric(p.Y, fmt.Sprintf("%s@x=%g", sanitize(s.Name), p.X))
-	}
-	if testing.Verbose() {
-		b.Log("\n" + last.Table())
-	}
-}
-
-func BenchmarkAblationQoSWFQ(b *testing.B)      { runAblation(b, "abl-qos") }
-func BenchmarkAblationSANStorage(b *testing.B)  { runAblation(b, "abl-san") }
-func BenchmarkAblationSubpage(b *testing.B)     { runAblation(b, "abl-subpage") }
-func BenchmarkAblationGroupCommit(b *testing.B) { runAblation(b, "abl-groupcommit") }
-func BenchmarkAblationElevator(b *testing.B)    { runAblation(b, "abl-elevator") }
-func BenchmarkAblationPrewarm(b *testing.B)     { runAblation(b, "abl-prewarm") }
+func BenchmarkAblationQoSWFQ(b *testing.B)      { runFigure(b, "abl-qos") }
+func BenchmarkAblationSANStorage(b *testing.B)  { runFigure(b, "abl-san") }
+func BenchmarkAblationSubpage(b *testing.B)     { runFigure(b, "abl-subpage") }
+func BenchmarkAblationGroupCommit(b *testing.B) { runFigure(b, "abl-groupcommit") }
+func BenchmarkAblationElevator(b *testing.B)    { runFigure(b, "abl-elevator") }
+func BenchmarkAblationPrewarm(b *testing.B)     { runFigure(b, "abl-prewarm") }

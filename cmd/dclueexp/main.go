@@ -50,8 +50,8 @@ func main() {
 		ablations = flag.Bool("ablations", false, "run every ablation")
 		fault     = flag.String("fault", "", "fault experiment to run (see -list)")
 		faultsAll = flag.Bool("faults", false, "run every fault experiment")
-		runID     = flag.String("run", "", "experiment to run by id, searched across figures, ablations, fault and trace experiments")
-		list      = flag.Bool("list", false, "list available figures and ablations")
+		runID     = flag.String("run", "", "experiment to run by id or short form, searched across figures, ablations, fault, trace and telemetry experiments")
+		list      = flag.Bool("list", false, "list every experiment: figures, ablations, fault, trace and telemetry experiments")
 		quick     = flag.Bool("quick", false, "reduced sweeps and shorter runs")
 		chart     = flag.Bool("chart", false, "render ASCII charts instead of tables")
 		seed      = flag.Uint64("seed", 1, "random seed")
@@ -183,59 +183,40 @@ func main() {
 		go http.Serve(ln, newStatusServer(coord, tel))
 	}
 
+	// lookup resolves one id through the registry, requiring the given
+	// kind unless it is empty.
+	lookup := func(id string, kind dclue.ExperimentKind) []dclue.Figure {
+		f, err := dclue.LookupFigure(id)
+		if err == nil && kind != "" && f.Kind != kind {
+			err = fmt.Errorf("%s is of kind %s, not %s", f.ID, f.Kind, kind)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dclueexp: %v; try -list\n", err)
+			exit(2)
+		}
+		return []dclue.Figure{f}
+	}
 	var figs []dclue.Figure
-	unknown := func(what, id string) {
-		fmt.Fprintf(os.Stderr, "unknown %s %q; try -list\n", what, id)
-		exit(2)
-	}
-	everything := func() []dclue.Figure {
-		fs := dclue.Figures()
-		fs = append(fs, dclue.AblationList()...)
-		fs = append(fs, dclue.FaultList()...)
-		fs = append(fs, dclue.TraceList()...)
-		fs = append(fs, dclue.TelemetryList()...)
-		return fs
-	}
 	switch {
 	case *list:
-		for _, f := range everything() {
+		for _, f := range dclue.Figures() {
 			fmt.Printf("%-16s %s\n", f.ID, f.Title)
 		}
 		exit(0)
 	case *runID != "":
-		figs = pick(everything(), func(f dclue.Figure) bool {
-			return f.ID == *runID || f.ID == "flt-"+*runID || f.ID == "abl-"+*runID || f.ID == "lat-"+*runID || f.ID == "util-"+*runID
-		})
-		if figs == nil {
-			unknown("experiment", *runID)
-		}
+		figs = lookup(*runID, "")
 	case *faultsAll:
-		figs = dclue.FaultList()
+		figs = ofKind(dclue.FaultExperiment)
 	case *fault != "":
-		figs = pick(dclue.FaultList(), func(f dclue.Figure) bool {
-			return f.ID == *fault || f.ID == "flt-"+*fault
-		})
-		if figs == nil {
-			unknown("fault experiment", *fault)
-		}
+		figs = lookup(*fault, dclue.FaultExperiment)
 	case *ablations:
-		figs = dclue.AblationList()
+		figs = ofKind(dclue.AblationExperiment)
 	case *ablation != "":
-		figs = pick(dclue.AblationList(), func(f dclue.Figure) bool {
-			return f.ID == *ablation || f.ID == "abl-"+*ablation
-		})
-		if figs == nil {
-			unknown("ablation", *ablation)
-		}
+		figs = lookup(*ablation, dclue.AblationExperiment)
 	case *all:
-		figs = dclue.Figures()
+		figs = ofKind(dclue.PaperFigure)
 	case *fig != "":
-		figs = pick(dclue.Figures(), func(f dclue.Figure) bool {
-			return f.ID == *fig || f.ID == "fig0"+*fig || f.ID == "fig"+*fig
-		})
-		if figs == nil {
-			unknown("figure", *fig)
-		}
+		figs = lookup(*fig, dclue.PaperFigure)
 	default:
 		flag.Usage()
 		exit(2)
@@ -341,12 +322,13 @@ func main() {
 	exit(0)
 }
 
-// pick returns the figures matching ok, or nil if none match.
-func pick(figs []dclue.Figure, ok func(dclue.Figure) bool) []dclue.Figure {
-	for _, f := range figs {
-		if ok(f) {
-			return []dclue.Figure{f}
+// ofKind returns the registered experiments of one kind, in registry order.
+func ofKind(kind dclue.ExperimentKind) []dclue.Figure {
+	var out []dclue.Figure
+	for _, f := range dclue.Figures() {
+		if f.Kind == kind {
+			out = append(out, f)
 		}
 	}
-	return nil
+	return out
 }

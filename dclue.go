@@ -22,8 +22,9 @@
 //	}
 //	fmt.Println(m)
 //
-// Experiments reproducing the paper's figures live behind Figures and
-// RunFigure; see EXPERIMENTS.md for the measured results.
+// Experiments reproducing the paper's figures, plus the ablation, fault,
+// trace and telemetry experiments, live behind Figures and LookupFigure;
+// see EXPERIMENTS.md for the measured results.
 package dclue
 
 import (
@@ -117,11 +118,29 @@ type ExperimentOptions = experiments.Options
 // ExperimentResult is one regenerated figure.
 type ExperimentResult = experiments.Result
 
-// Figure is one runnable paper-figure experiment.
+// Figure is one runnable experiment; its Kind names the family.
 type Figure = experiments.Figure
 
-// Figures lists every paper figure experiment in order (Fig 2 .. Fig 16).
-func Figures() []Figure { return experiments.All() }
+// ExperimentKind tags a Figure with its family.
+type ExperimentKind = experiments.Kind
+
+// The experiment families.
+const (
+	PaperFigure         = experiments.Paper     // Figs 2-16 (fig02 .. fig16)
+	AblationExperiment  = experiments.Ablation  // design-choice ablations (abl-*)
+	FaultExperiment     = experiments.Fault     // graceful degradation under faults (flt-*)
+	TraceExperiment     = experiments.Trace     // span-traced latency decomposition (lat-*)
+	TelemetryExperiment = experiments.Telemetry // telemetry utilization decomposition (util-*)
+)
+
+// Figures lists every experiment: the paper's figures in order (Fig 2 ..
+// Fig 16), then the ablations, fault, trace and telemetry experiments.
+func Figures() []Figure { return experiments.Registry() }
+
+// LookupFigure finds an experiment by id or short form ("fig06", "6",
+// "qos", "loss"). It is an error for an unknown id, or for a short form
+// that names more than one experiment; the error lists the candidates.
+func LookupFigure(id string) (Figure, error) { return experiments.Lookup(id) }
 
 // RunFigures runs the given figures — fanning across figures and sweep
 // points on o.Pool when set — and returns results in input order.
@@ -129,53 +148,13 @@ func RunFigures(figs []Figure, o ExperimentOptions) []ExperimentResult {
 	return experiments.RunAll(figs, o)
 }
 
-// RunFigure runs the experiment for the given figure id ("fig06" or "6").
-// ok is false for an unknown id.
-func RunFigure(id string, o ExperimentOptions) (ExperimentResult, bool) {
-	f, ok := experiments.Lookup(id)
-	if !ok {
-		return ExperimentResult{}, false
-	}
-	return f.Run(o), true
-}
-
-// AblationList returns the design-choice ablation experiments: QoS remedy
-// (WFQ), shared-SAN storage, subpage granularity, group commit, elevator
-// scheduling, and warm start.
-func AblationList() []Figure { return experiments.Ablations() }
-
-// FaultList returns the graceful-degradation experiments driven by the
-// fault-injection subsystem (an extension beyond the paper's fault-free
-// scope): loss-intensity sweep, fault-window recovery timeline, and a
-// per-layer (network/node/storage) comparison.
-func FaultList() []Figure { return experiments.FaultFigures() }
-
-// RunFault runs the fault experiment with the given id ("flt-loss" or
-// "loss").
-func RunFault(id string, o ExperimentOptions) (ExperimentResult, bool) {
-	f, ok := experiments.LookupFault(id)
-	if !ok {
-		return ExperimentResult{}, false
-	}
-	return f.Run(o), true
-}
-
-// RunAblation runs the ablation with the given id ("abl-qos" or "qos").
-func RunAblation(id string, o ExperimentOptions) (ExperimentResult, bool) {
-	f, ok := experiments.LookupAblation(id)
-	if !ok {
-		return ExperimentResult{}, false
-	}
-	return f.Run(o), true
-}
-
-// TraceCollector gathers transaction spans and queue gauges across runs: set
-// one on Params.Trace (or ExperimentOptions.Trace) and every run records a
+// TraceCollector gathers transaction spans across runs: set one on
+// Params.Trace (or ExperimentOptions.Trace) and every run records a
 // per-phase latency breakdown into its Metrics; with KeepEvents enabled the
-// collector additionally retains span segments and gauges exportable as
-// JSONL or a Chrome trace_event file (WriteFile). Tracing never perturbs a
-// run: metrics outside the breakdown are bit-identical with tracing on or
-// off (Metrics.FingerprintSansTrace is the regression hook).
+// collector additionally retains span segments exportable as JSONL or a
+// Chrome trace_event file (WriteFile). Tracing never perturbs a run:
+// metrics outside the breakdown are bit-identical with tracing on or off
+// (Metrics.FingerprintSansObs is the regression hook).
 type TraceCollector = trace.Collector
 
 // LatencyBreakdown is the span-derived per-phase decomposition inside
@@ -196,7 +175,7 @@ func NewTraceCollector(n int) *TraceCollector { return trace.NewCollector(n) }
 // timeseries or a Prometheus text snapshot (WriteFile, WriteJSONL,
 // WritePrometheus). Telemetry never perturbs a run: metrics outside the
 // decomposition are bit-identical with telemetry on or off
-// (Metrics.FingerprintSansTelemetry is the regression hook).
+// (Metrics.FingerprintSansObs is the regression hook).
 type TelemetryCollector = telemetry.Collector
 
 // NewTelemetryCollector returns a collector whose instrument timelines use
@@ -211,31 +190,3 @@ type UtilDecomp = core.UtilDecomp
 
 // ClassUtil splits link busy seconds by traffic class.
 type ClassUtil = core.ClassUtil
-
-// TelemetryList returns the telemetry experiments (the utilization-
-// decomposition table).
-func TelemetryList() []Figure { return experiments.TelemetryFigures() }
-
-// RunTelemetry runs the telemetry experiment with the given id
-// ("util-decomp" or "decomp").
-func RunTelemetry(id string, o ExperimentOptions) (ExperimentResult, bool) {
-	f, ok := experiments.LookupTelemetry(id)
-	if !ok {
-		return ExperimentResult{}, false
-	}
-	return f.Run(o), true
-}
-
-// TraceList returns the span-tracing experiments (the latency-decomposition
-// table).
-func TraceList() []Figure { return experiments.TraceFigures() }
-
-// RunTrace runs the trace experiment with the given id ("lat-decomp" or
-// "decomp").
-func RunTrace(id string, o ExperimentOptions) (ExperimentResult, bool) {
-	f, ok := experiments.LookupTrace(id)
-	if !ok {
-		return ExperimentResult{}, false
-	}
-	return f.Run(o), true
-}

@@ -28,19 +28,21 @@ func TestFacadeSmoke(t *testing.T) {
 }
 
 func TestFacadeFigureRegistry(t *testing.T) {
-	figs := dclue.Figures()
-	if len(figs) != 15 {
-		t.Fatalf("figures %d, want 15", len(figs))
+	perKind := map[dclue.ExperimentKind]int{}
+	for _, f := range dclue.Figures() {
+		perKind[f.Kind]++
 	}
-	if _, ok := dclue.RunFigure("no-such", dclue.ExperimentOptions{}); ok {
+	if perKind[dclue.PaperFigure] != 15 {
+		t.Fatalf("paper figures %d, want 15", perKind[dclue.PaperFigure])
+	}
+	if perKind[dclue.AblationExperiment] < 5 {
+		t.Fatalf("ablations %d", perKind[dclue.AblationExperiment])
+	}
+	if _, err := dclue.LookupFigure("no-such"); err == nil {
 		t.Fatal("unknown figure accepted")
 	}
-	abls := dclue.AblationList()
-	if len(abls) < 5 {
-		t.Fatalf("ablations %d", len(abls))
-	}
-	if _, ok := dclue.RunAblation("nope", dclue.ExperimentOptions{}); ok {
-		t.Fatal("unknown ablation accepted")
+	if f, err := dclue.LookupFigure("qos"); err != nil || f.ID != "abl-qos" {
+		t.Fatalf("LookupFigure(qos) = %q, %v", f.ID, err)
 	}
 }
 

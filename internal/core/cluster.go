@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"hash/fnv"
 
 	"dclue/internal/db"
 	"dclue/internal/disk"
@@ -146,7 +147,7 @@ func New(p Params) (*Cluster, error) {
 	c := &Cluster{P: p, Sim: s}
 	c.respHist = newRespHist()
 	if p.Trace != nil {
-		c.tr = p.Trace.NewRun(p.traceLabel())
+		c.tr = p.Trace.NewRun(p.runLabel())
 	}
 	if p.Telemetry != nil {
 		c.initTelemetry()
@@ -276,13 +277,6 @@ func New(p Params) (*Cluster, error) {
 		c.startTimeline()
 	}
 
-	// Queue-occupancy gauges for trace export. The sampler only reads queue
-	// depths — it never touches model state — so its calendar events cannot
-	// reorder or perturb model events.
-	if c.tr != nil && c.tr.KeepsEvents() {
-		c.startGaugeSampler()
-	}
-
 	// Establish the static connection mesh, then the workload.
 	s.Spawn("setup", c.setup)
 	return c, nil
@@ -347,57 +341,21 @@ func (c *Cluster) startTimeline() {
 // to 8 s, matching the trace layer's span histograms.
 func newRespHist() *stats.Histogram { return stats.NewHistogram(0.25, 32000) }
 
-// traceLabel names this run in trace exports.
-func (p *Params) traceLabel() string {
-	if p.TraceLabel != "" {
-		return p.TraceLabel
-	}
+// runLabel names this run in trace and telemetry exports: a readable
+// n<nodes>-<hw|sw> prefix plus a short hash of every parameter but the
+// collectors. Runs whose parameters differ therefore never share a label,
+// and the exports, which order runs by label, come out the same whatever
+// order a parallel sweep registered them in.
+func (p *Params) runLabel() string {
 	off := "hw"
 	if p.SWTCP || p.SWiSCSI {
 		off = "sw"
 	}
-	return fmt.Sprintf("n%d-%s", p.Nodes, off)
-}
-
-// startGaugeSampler records transmit-queue occupancy across the fabric once
-// per simulated second: every server and client NIC egress queue plus every
-// router output port. Read-only by construction.
-func (c *Cluster) startGaugeSampler() {
-	if c.tr == nil {
-		return // untraced run: no sink, no sampler
-	}
-	type gauge struct {
-		name string
-		q    *netsim.Qdisc
-	}
-	var gs []gauge
-	for i := range c.nodes {
-		up, _ := c.Topo.NodeLinks(i)
-		gs = append(gs, gauge{fmt.Sprintf("node%d.nic", i), up.Queue()})
-	}
-	clientUp, _ := c.Topo.ClientLinks()
-	gs = append(gs, gauge{"client.nic", clientUp.Queue()})
-	for ri, r := range c.Topo.Inner {
-		for pi, q := range r.Ports() {
-			gs = append(gs, gauge{fmt.Sprintf("inner%d.port%d", ri, pi), q})
-		}
-	}
-	for pi, q := range c.Topo.Outer.Ports() {
-		gs = append(gs, gauge{fmt.Sprintf("outer.port%d", pi), q})
-	}
-	end := c.P.Warmup + c.P.Measure
-	const period = 1 * sim.Second
-	var sample func()
-	sample = func() {
-		now := c.Sim.Now()
-		for _, g := range gs {
-			c.tr.Gauge(now, g.name, g.q.Depth(), g.q.Len())
-		}
-		if now < end {
-			c.Sim.After(period, sample)
-		}
-	}
-	c.Sim.After(period, sample)
+	q := *p
+	q.Trace, q.Telemetry = nil, nil
+	h := fnv.New32a()
+	fmt.Fprintf(h, "%+v", q)
+	return fmt.Sprintf("n%d-%s-%08x", p.Nodes, off, h.Sum32())
 }
 
 // Run builds a cluster from p and simulates it to completion.

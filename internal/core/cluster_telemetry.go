@@ -37,7 +37,7 @@ func (c *Cluster) initTelemetry() {
 	if c.P.Telemetry == nil {
 		return
 	}
-	reg := c.P.Telemetry.NewRegistry(c.P.telemetryLabel())
+	reg := c.P.Telemetry.NewRegistry(c.P.runLabel())
 	c.telReg = reg
 	for i := 0; i < c.P.Nodes; i++ {
 		c.telCPU = append(c.telCPU, reg.NewCPU(fmt.Sprintf("node%d.cpu", i)))

@@ -157,9 +157,9 @@ type Params struct {
 	// (internal/trace): the run registers itself with the collector, sampled
 	// transactions record per-phase latency histograms that surface as
 	// Metrics.Breakdown, and — when the collector retains events — span
-	// segments and queue-occupancy gauges are kept for JSONL/Chrome export.
-	// Tracing never perturbs the simulated trajectory: a traced run's
-	// metrics (breakdown aside) are bit-identical to an untraced run's.
+	// segments are kept for JSONL/Chrome export. Tracing never perturbs the
+	// simulated trajectory: a traced run's metrics (breakdown aside) are
+	// bit-identical to an untraced run's.
 	//
 	// The collector is process-local state, not configuration: it is
 	// excluded from the JSON form of Params, which the experiment farm uses
@@ -167,10 +167,6 @@ type Params struct {
 	// re-attach an equivalent histogram-only collector from the job's
 	// trace-sample stride instead.
 	Trace *trace.Collector `json:"-"`
-
-	// TraceLabel names this run in trace exports; empty derives a label
-	// from the cluster size and offload mode.
-	TraceLabel string
 
 	// Telemetry, when non-nil, enables the unified metrics registry
 	// (internal/telemetry): the run registers per-component utilization
@@ -180,17 +176,13 @@ type Params struct {
 	// reports Metrics.UtilDecomp. Like tracing, telemetry never perturbs the
 	// simulated trajectory: an instrumented run's metrics (UtilDecomp aside)
 	// are bit-identical to an uninstrumented run's
-	// (Metrics.FingerprintSansTelemetry is the regression hook).
+	// (Metrics.FingerprintSansObs is the regression hook).
 	//
 	// The collector is process-local state, not configuration: it is
 	// excluded from the JSON form of Params, which the experiment farm uses
 	// as the canonical wire and cache-key encoding of a point. Farm workers
 	// re-attach an equivalent collector from the job's telemetry fields.
 	Telemetry *telemetry.Collector `json:"-"`
-
-	// TelemetryLabel names this run in telemetry exports; empty derives a
-	// label from the cluster size and offload mode.
-	TelemetryLabel string
 }
 
 // DefaultParams returns the paper's baseline configuration at scale 100
@@ -228,14 +220,6 @@ func DefaultParams(nodes int) Params {
 		MaxTxnRetries: 10,
 		RetryDelay:    sim.Time(0.5 * float64(sim.Millisecond) * scale),
 	}
-}
-
-// telemetryLabel names this run in telemetry exports.
-func (p *Params) telemetryLabel() string {
-	if p.TelemetryLabel != "" {
-		return p.TelemetryLabel
-	}
-	return p.traceLabel()
 }
 
 // heartbeat resolves the membership heartbeat cadence.

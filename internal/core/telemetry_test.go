@@ -20,7 +20,7 @@ func TestTelemetryNonPerturbing(t *testing.T) {
 	p.Telemetry = telemetry.NewCollector(sim.Second)
 	telem := mustRun(t, p)
 
-	if got, want := telem.FingerprintSansTelemetry(), base.Fingerprint(); got != want {
+	if got, want := telem.FingerprintSansObs(), base.Fingerprint(); got != want {
 		t.Fatalf("telemetered run diverged: fingerprint %x, bare %x\ntelemetered: %vbare: %v",
 			got, want, telem, base)
 	}
@@ -65,6 +65,40 @@ func TestTelemetryAttributionExact(t *testing.T) {
 	}
 	if u.GCSCtlMsgs == 0 || u.GCSDataMsgs == 0 {
 		t.Fatalf("GCS instruments saw no messages: %+v", u)
+	}
+}
+
+// TestTelemetryQueueOccupancy checks that queue occupancy is observed,
+// exactly, under the fabric's queue names: every node NIC and router port
+// has a queue instrument, and the run drives at least one of them above
+// empty.
+func TestTelemetryQueueOccupancy(t *testing.T) {
+	p := quickParams(2)
+	col := telemetry.NewCollector(0)
+	p.Telemetry = col
+	mustRun(t, p)
+
+	regs := col.Registries()
+	if len(regs) != 1 {
+		t.Fatalf("got %d registries, want 1", len(regs))
+	}
+	named := map[string]bool{}
+	ports, busy := 0, false
+	for _, q := range regs[0].Queues() {
+		named[q.Name] = true
+		if strings.HasPrefix(q.Name, "inner") || strings.HasPrefix(q.Name, "outer") {
+			ports++
+		}
+		busy = busy || q.Occ.Max() > 0
+	}
+	if !named["node0.nic"] || !named["node1.nic"] {
+		t.Fatalf("node NIC queue instruments missing: %v", named)
+	}
+	if ports == 0 {
+		t.Fatalf("no router-port queue instruments: %v", named)
+	}
+	if !busy {
+		t.Fatal("no queue saw any occupancy")
 	}
 }
 

@@ -2,13 +2,14 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"dclue/internal/trace"
 )
 
 // TestTraceNonPerturbing is the observability layer's central guarantee: a
-// fully-traced run (every transaction sampled, events and gauges retained)
+// fully-traced run (every transaction sampled, events retained)
 // follows the exact same trajectory as an untraced run. Everything outside
 // the breakdown — every counter, percentile and timeline point — must hash
 // identically.
@@ -21,7 +22,7 @@ func TestTraceNonPerturbing(t *testing.T) {
 	p.Trace = col
 	traced := mustRun(t, p)
 
-	if got, want := traced.FingerprintSansTrace(), base.Fingerprint(); got != want {
+	if got, want := traced.FingerprintSansObs(), base.Fingerprint(); got != want {
 		t.Fatalf("traced run diverged: fingerprint %x, untraced %x\ntraced:  %vuntraced: %v",
 			got, want, traced, base)
 	}
@@ -75,7 +76,7 @@ func TestTraceSampling(t *testing.T) {
 		t.Fatalf("stride-8 sampling kept %d of %d spans (ratio %.1f, want ~8)",
 			sampled.Breakdown.Sampled, full.Breakdown.Sampled, ratio)
 	}
-	if full.FingerprintSansTrace() != sampled.FingerprintSansTrace() {
+	if full.FingerprintSansObs() != sampled.FingerprintSansObs() {
 		t.Fatal("sampling stride changed the simulated trajectory")
 	}
 	if full.RespTimeP95Ms != sampled.RespTimeP95Ms {
@@ -83,14 +84,14 @@ func TestTraceSampling(t *testing.T) {
 	}
 }
 
-// TestTraceGaugesAndEvents checks that an event-retaining run collects span
-// segments and queue gauges suitable for export.
-func TestTraceGaugesAndEvents(t *testing.T) {
+// TestTraceEvents checks that an event-retaining run collects span
+// segments suitable for export, under its derived run label.
+func TestTraceEvents(t *testing.T) {
 	p := quickParams(2)
 	col := trace.NewCollector(4)
 	col.KeepEvents(0)
 	p.Trace = col
-	m := mustRun(t, p)
+	mustRun(t, p)
 
 	runs := col.Runs()
 	if len(runs) != 1 {
@@ -100,14 +101,33 @@ func TestTraceGaugesAndEvents(t *testing.T) {
 	if r.Sampled() == 0 {
 		t.Fatal("no spans sampled")
 	}
-	bytes, pkts := r.PeakGauge()
-	if bytes <= 0 || pkts <= 0 {
-		t.Fatalf("gauge sampler saw no queue occupancy (bytes=%d pkts=%d)", bytes, pkts)
+	if !strings.HasPrefix(r.Label(), "n2-hw-") {
+		t.Fatalf("run label %q, want the n2-hw-<hash> form", r.Label())
 	}
-	if m.Breakdown.PeakQueueBytes != bytes || m.Breakdown.PeakQueuePkts != pkts {
-		t.Fatal("metrics breakdown does not reflect the run's peak gauges")
+	var out strings.Builder
+	if err := col.WriteJSONL(&out); err != nil {
+		t.Fatal(err)
 	}
-	if r.Label() == "" {
-		t.Fatal("run has no label")
+	if !strings.Contains(out.String(), `"type":"seg"`) || !strings.Contains(out.String(), `"type":"txn"`) {
+		t.Fatalf("export lacks retained span segments:\n%.500s", out.String())
+	}
+}
+
+// TestRunLabelTracksParams checks the derived export label: the same
+// parameters give the same label, and any parameter change (here one the
+// readable prefix does not show) gives a different one.
+func TestRunLabelTracksParams(t *testing.T) {
+	p, q := quickParams(4), quickParams(4)
+	if p.runLabel() != q.runLabel() {
+		t.Fatalf("equal params, different labels: %q vs %q", p.runLabel(), q.runLabel())
+	}
+	q.FaultSpec = "loss:interlata:0@60+10=0.1"
+	if p.runLabel() == q.runLabel() {
+		t.Fatalf("different params share label %q", p.runLabel())
+	}
+	q = p
+	q.Trace = trace.NewCollector(1)
+	if p.runLabel() != q.runLabel() {
+		t.Fatal("attaching a collector changed the label")
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"hash/fnv"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 
 	"dclue/internal/core"
@@ -103,42 +104,92 @@ func (r Result) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
+// Kind tags an experiment with the family it belongs to.
+type Kind string
+
+// The experiment families, in registry order.
+const (
+	Paper     Kind = "paper"     // the paper's Figs 2-16
+	Ablation  Kind = "ablation"  // design-choice ablations (abl-*)
+	Fault     Kind = "fault"     // graceful degradation under faults (flt-*)
+	Trace     Kind = "trace"     // span-tracing decomposition (lat-*)
+	Telemetry Kind = "telemetry" // telemetry decomposition (util-*)
+)
+
 // Figure is a runnable experiment.
 type Figure struct {
 	ID    string
+	Kind  Kind
 	Title string
 	Run   func(Options) Result
 }
 
-// All returns every figure in paper order.
-func All() []Figure {
+// Registry returns every experiment: the paper's figures in paper order,
+// then the ablations, fault, trace and telemetry experiments. Each is one
+// parameter set over the same cluster model; Kind says which family.
+func Registry() []Figure {
 	return []Figure{
-		{"fig02", "IPC messages per transaction vs nodes (affinity 0.8)", Fig2},
-		{"fig03", "IPC messages per transaction vs nodes (affinity 0)", Fig3},
-		{"fig04", "Lock waits per transaction vs nodes and affinity", Fig4},
-		{"fig05", "Lock wait time vs nodes and affinity", Fig5},
-		{"fig06", "Throughput scaling vs nodes and affinity", Fig6},
-		{"fig07", "Scaling vs affinity, nodes as parameter", Fig7},
-		{"fig08", "Impact of router forwarding rate on scalability", Fig8},
-		{"fig09", "Impact of single-node (centralized) logging", Fig9},
-		{"fig10", "Impact of slower DB size growth", Fig10},
-		{"fig11", "Impact of TCP and iSCSI offload", Fig11},
-		{"fig12", "Latency impact, normal computation", Fig12},
-		{"fig13", "Latency impact, low computation", Fig13},
-		{"fig14", "Cross-traffic impact, normal computation", Fig14},
-		{"fig15", "Cross-traffic impact, low computation", Fig15},
-		{"fig16", "Cross-traffic impact vs affinity (low computation)", Fig16},
+		{"fig02", Paper, "IPC messages per transaction vs nodes (affinity 0.8)", Fig2},
+		{"fig03", Paper, "IPC messages per transaction vs nodes (affinity 0)", Fig3},
+		{"fig04", Paper, "Lock waits per transaction vs nodes and affinity", Fig4},
+		{"fig05", Paper, "Lock wait time vs nodes and affinity", Fig5},
+		{"fig06", Paper, "Throughput scaling vs nodes and affinity", Fig6},
+		{"fig07", Paper, "Scaling vs affinity, nodes as parameter", Fig7},
+		{"fig08", Paper, "Impact of router forwarding rate on scalability", Fig8},
+		{"fig09", Paper, "Impact of single-node (centralized) logging", Fig9},
+		{"fig10", Paper, "Impact of slower DB size growth", Fig10},
+		{"fig11", Paper, "Impact of TCP and iSCSI offload", Fig11},
+		{"fig12", Paper, "Latency impact, normal computation", Fig12},
+		{"fig13", Paper, "Latency impact, low computation", Fig13},
+		{"fig14", Paper, "Cross-traffic impact, normal computation", Fig14},
+		{"fig15", Paper, "Cross-traffic impact, low computation", Fig15},
+		{"fig16", Paper, "Cross-traffic impact vs affinity (low computation)", Fig16},
+
+		{"abl-qos", Ablation, "QoS remedy: strict priority vs WFQ under cross traffic", AblationQoS},
+		{"abl-san", Ablation, "Storage architecture: distributed iSCSI vs shared SAN", AblationSAN},
+		{"abl-subpage", Ablation, "Lock granularity: tuned row-level vs coarse subpages", AblationSubpage},
+		{"abl-groupcommit", Ablation, "Log device: group commit vs serial writes", AblationGroupCommit},
+		{"abl-elevator", Ablation, "Disk scheduling: SCAN elevator vs FIFO", AblationElevator},
+		{"abl-prewarm", Ablation, "Warm vs cold buffer caches at start", AblationPrewarm},
+
+		{"flt-loss", Fault, "Degradation vs burst-loss intensity on the inter-LATA path", FaultLossSweep},
+		{"flt-recovery", Fault, "Throughput timeline through a link-down + burst-loss fault", FaultRecovery},
+		{"flt-layers", Fault, "Degradation by faulted layer: network vs node vs storage", FaultLayers},
+		{"flt-failover", Fault, "Throughput through a node crash, recovery and re-admission", FaultFailover},
+		{"flt-failover-size", Fault, "Recovery and unavailability window vs cluster size", FaultFailoverSize},
+		{"flt-failover-ckpt", Fault, "Recovery window vs checkpoint interval", FaultFailoverCkpt},
+
+		{"lat-decomp", Trace, "Transaction latency decomposition by phase (nodes x offload)", LatencyDecomposition},
+
+		{"util-decomp", Telemetry, "Per-class server-link utilization decomposition vs nodes", UtilDecomposition},
 	}
 }
 
-// Lookup finds a figure by id ("fig06", "6", "06").
-func Lookup(id string) (Figure, bool) {
-	for _, f := range All() {
-		if f.ID == id || f.ID == "fig0"+id || f.ID == "fig"+id {
-			return f, true
+// Lookup finds an experiment by its id or a short form of it: the id
+// without its family prefix ("loss" for flt-loss, "qos" for abl-qos), and
+// for paper figures the bare number ("6" or "06" for fig06). A short form
+// that names more than one experiment is an error listing every candidate.
+func Lookup(id string) (Figure, error) {
+	var hits []Figure
+	for _, f := range Registry() {
+		for _, prefix := range []string{"", "fig", "fig0", "abl-", "flt-", "lat-", "util-"} {
+			if f.ID == prefix+id {
+				hits = append(hits, f)
+				break
+			}
 		}
 	}
-	return Figure{}, false
+	switch len(hits) {
+	case 0:
+		return Figure{}, fmt.Errorf("unknown experiment %q", id)
+	case 1:
+		return hits[0], nil
+	}
+	ids := make([]string, len(hits))
+	for i, f := range hits {
+		ids[i] = f.ID
+	}
+	return Figure{}, fmt.Errorf("ambiguous experiment id %q: matches %s", id, strings.Join(ids, ", "))
 }
 
 // RunAll runs the given figures — fanning across figures and, within each,

@@ -8,32 +8,61 @@ import (
 	"dclue/internal/stats"
 )
 
+// TestAllFiguresRegistered checks the one registry holds every experiment
+// exactly once: the 15 paper figures, 6 ablations, 6 fault, 1 trace and 1
+// telemetry experiment.
 func TestAllFiguresRegistered(t *testing.T) {
-	figs := All()
-	if len(figs) != 15 {
-		t.Fatalf("registered %d figures, want 15 (Figs 2-16)", len(figs))
+	figs := Registry()
+	if len(figs) != 29 {
+		t.Fatalf("registered %d experiments, want 29", len(figs))
 	}
+	perKind := map[Kind]int{}
 	seen := map[string]bool{}
 	for _, f := range figs {
 		if seen[f.ID] {
-			t.Fatalf("duplicate figure id %s", f.ID)
+			t.Fatalf("duplicate experiment id %s", f.ID)
 		}
 		seen[f.ID] = true
 		if f.Run == nil || f.Title == "" {
-			t.Fatalf("figure %s incomplete", f.ID)
+			t.Fatalf("experiment %s incomplete", f.ID)
 		}
+		perKind[f.Kind]++
+	}
+	want := map[Kind]int{Paper: 15, Ablation: 6, Fault: 6, Trace: 1, Telemetry: 1}
+	for k, n := range want {
+		if perKind[k] != n {
+			t.Errorf("%d %s experiments, want %d", perKind[k], k, n)
+		}
+	}
+	if len(perKind) != len(want) {
+		t.Errorf("unexpected kinds: %v", perKind)
 	}
 }
 
+// TestLookupForms checks every short form the registry accepts, one per
+// family, and that a short form naming two experiments is rejected with
+// both candidates in the error.
 func TestLookupForms(t *testing.T) {
-	for _, id := range []string{"fig06", "06", "6"} {
-		f, ok := Lookup(id)
-		if !ok || f.ID != "fig06" {
-			t.Fatalf("Lookup(%q) = %v/%v", id, f.ID, ok)
+	for id, want := range map[string]string{
+		"fig06": "fig06", "06": "fig06", "6": "fig06", "16": "fig16",
+		"abl-qos": "abl-qos", "qos": "abl-qos",
+		"flt-loss": "flt-loss", "loss": "flt-loss", "failover-ckpt": "flt-failover-ckpt",
+		"lat-decomp":  "lat-decomp",
+		"util-decomp": "util-decomp",
+	} {
+		f, err := Lookup(id)
+		if err != nil || f.ID != want {
+			t.Errorf("Lookup(%q) = %q, %v; want %s", id, f.ID, err, want)
 		}
 	}
-	if _, ok := Lookup("fig99"); ok {
-		t.Fatal("Lookup accepted unknown figure")
+	for _, id := range []string{"fig99", "99", "", "abl-", "nope"} {
+		if f, err := Lookup(id); err == nil {
+			t.Errorf("Lookup(%q) accepted unknown id as %s", id, f.ID)
+		}
+	}
+	_, err := Lookup("decomp")
+	if err == nil || !strings.Contains(err.Error(), "lat-decomp") || !strings.Contains(err.Error(), "util-decomp") {
+		t.Fatalf("Lookup(\"decomp\") = %v, want an ambiguity error naming lat-decomp and util-decomp", err)
 	}
 }
 

@@ -67,17 +67,9 @@ func helperSweep() int {
 		fmt.Fprintln(os.Stderr, "farm helper sweep:", err)
 		return 1
 	}
-	figID := os.Getenv("DCLUE_FARM_FIG")
-	var fig *Figure
-	for _, f := range everyFigure() {
-		if f.ID == figID {
-			f := f
-			fig = &f
-			break
-		}
-	}
-	if fig == nil {
-		return fail(fmt.Errorf("unknown figure %q", figID))
+	fig, err := Lookup(os.Getenv("DCLUE_FARM_FIG"))
+	if err != nil {
+		return fail(err)
 	}
 	coord, err := farm.New(farm.Config{
 		Workers: 2,
@@ -124,7 +116,7 @@ func TestFarmEveryFigureByteIdentical(t *testing.T) {
 	}
 	root := t.TempDir()
 	cacheDir := filepath.Join(root, "cache")
-	for _, f := range everyFigure() {
+	for _, f := range Registry() {
 		f := f
 		t.Run(f.ID, func(t *testing.T) {
 			ref := f.Run(Options{Quick: true, Seed: 1, tinyRuns: true})
@@ -183,15 +175,11 @@ func TestFarmKillAndResume(t *testing.T) {
 		t.Skip("spawns coordinator and worker subprocesses")
 	}
 	const figID = "fig02"
-	var ref Result
-	for _, f := range everyFigure() {
-		if f.ID == figID {
-			ref = f.Run(Options{Quick: true, Seed: 1, tinyRuns: true})
-		}
+	fig, err := Lookup(figID)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ref.ID != figID {
-		t.Fatalf("figure %s not registered", figID)
-	}
+	ref := fig.Run(Options{Quick: true, Seed: 1, tinyRuns: true})
 
 	root := t.TempDir()
 	resultsDir := filepath.Join(root, "results")

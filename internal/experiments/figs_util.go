@@ -14,21 +14,6 @@ import (
 // Ethernet fabric and interfere; this extension tabulates exactly how the
 // shared server links divide between those classes as the cluster grows,
 // from the same runs the throughput numbers come from.
-func TelemetryFigures() []Figure {
-	return []Figure{
-		{"util-decomp", "Per-class server-link utilization decomposition vs nodes", UtilDecomposition},
-	}
-}
-
-// LookupTelemetry finds a telemetry experiment by id.
-func LookupTelemetry(id string) (Figure, bool) {
-	for _, f := range TelemetryFigures() {
-		if f.ID == id || "util-"+id == f.ID {
-			return f, true
-		}
-	}
-	return Figure{}, false
-}
 
 // UtilDecomposition runs fixed-load clusters across sizes with the telemetry
 // registry attached and tabulates how the server links' busy time divides
@@ -58,7 +43,6 @@ func UtilDecomposition(o Options) Result {
 		q := o.baseParams(n)
 		q.Affinity = 0.8
 		q.Telemetry = col
-		q.TelemetryLabel = fmt.Sprintf("util-n%d", n)
 		o.logf("util-decomp: n%d", n)
 		ms[i] = o.fixedLoad(q, 6*n)
 	})

@@ -18,24 +18,6 @@ var update = flag.Bool("update", false, "rewrite the golden figure fixtures unde
 // fixture diff.
 var goldenFigures = []string{"fig02", "fig03", "fig06", "fig16", "flt-loss", "lat-decomp", "flt-failover", "util-decomp"}
 
-// findFigure looks an id up across the paper figures, fault experiments,
-// ablations, trace and telemetry experiments.
-func findFigure(id string) (Figure, bool) {
-	if f, ok := Lookup(id); ok {
-		return f, true
-	}
-	if f, ok := LookupFault(id); ok {
-		return f, true
-	}
-	if f, ok := LookupTrace(id); ok {
-		return f, true
-	}
-	if f, ok := LookupTelemetry(id); ok {
-		return f, true
-	}
-	return LookupAblation(id)
-}
-
 // TestGoldenFigures regenerates each committed figure table in Quick mode
 // and diffs it byte-for-byte against testdata/<id>.golden. Regenerate with:
 //
@@ -47,9 +29,9 @@ func TestGoldenFigures(t *testing.T) {
 	for _, id := range goldenFigures {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			f, ok := findFigure(id)
-			if !ok {
-				t.Fatalf("figure %q not registered", id)
+			f, err := Lookup(id)
+			if err != nil {
+				t.Fatal(err)
 			}
 			// The pool exercises the parallel path; output is identical to
 			// sequential by the runner's ordered-merge contract (verified

@@ -6,17 +6,10 @@ import (
 	"testing"
 
 	"dclue/internal/runner"
+	"dclue/internal/sim"
+	"dclue/internal/telemetry"
+	"dclue/internal/trace"
 )
-
-// everyFigure is the complete experiment registry: paper figures, fault
-// experiments and ablations.
-func everyFigure() []Figure {
-	figs := All()
-	figs = append(figs, FaultFigures()...)
-	figs = append(figs, Ablations()...)
-	figs = append(figs, TraceFigures()...)
-	return figs
-}
 
 // TestParallelDeterminismEveryFigure is the sweep engine's core contract:
 // for every registered experiment, a parallel run renders a table (and
@@ -27,7 +20,7 @@ func TestParallelDeterminismEveryFigure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweeps every registered experiment twice")
 	}
-	for _, f := range everyFigure() {
+	for _, f := range Registry() {
 		f := f
 		t.Run(f.ID, func(t *testing.T) {
 			seq := f.Run(Options{Quick: true, Seed: 1, tinyRuns: true})
@@ -38,6 +31,54 @@ func TestParallelDeterminismEveryFigure(t *testing.T) {
 			}
 			if seq.Fingerprint() != par.Fingerprint() {
 				t.Errorf("fingerprint mismatch: seq %x, par %x", seq.Fingerprint(), par.Fingerprint())
+			}
+		})
+	}
+}
+
+// TestExportsIdenticalAtAnyWidth holds both observability exports to the
+// contract the tables meet: the trace and telemetry JSONL of a sweep are
+// byte-identical at pool widths 1 and 4. Under a pool, runs register with
+// the collectors in completion order (fig02), and flt-loss's runs differ
+// only in their fault schedule, so the export order must come from labels
+// that tell every point apart. The wide sweep is repeated because a
+// scheduling-dependent order shows up only on some interleavings.
+func TestExportsIdenticalAtAnyWidth(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run experiment")
+	}
+	for _, id := range []string{"fig02", "flt-loss"} {
+		f, err := Lookup(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(id, func(t *testing.T) {
+			export := func(workers int) (spans, telem string) {
+				col := trace.NewCollector(1)
+				col.KeepEvents(0)
+				tel := telemetry.NewCollector(sim.Second)
+				f.Run(Options{Quick: true, Seed: 1, tinyRuns: true, Pool: runner.New(workers), Trace: col, Telemetry: tel})
+				var tb, mb strings.Builder
+				if err := col.WriteJSONL(&tb); err != nil {
+					t.Fatal(err)
+				}
+				if err := tel.WriteJSONL(&mb); err != nil {
+					t.Fatal(err)
+				}
+				return tb.String(), mb.String()
+			}
+			spans1, telem1 := export(1)
+			if spans1 == "" || telem1 == "" {
+				t.Fatal("empty export")
+			}
+			for rep := 0; rep < 3; rep++ {
+				spans4, telem4 := export(4)
+				if spans4 != spans1 {
+					t.Fatalf("trace JSONL at width 4 differs from width 1 (repeat %d)", rep)
+				}
+				if telem4 != telem1 {
+					t.Fatalf("telemetry JSONL at width 4 differs from width 1 (repeat %d)", rep)
+				}
 			}
 		})
 	}

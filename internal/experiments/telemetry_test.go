@@ -22,9 +22,9 @@ func TestTelemetryNonPerturbing(t *testing.T) {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			f, ok := findFigure(id)
-			if !ok {
-				t.Fatalf("figure %q not registered", id)
+			f, err := Lookup(id)
+			if err != nil {
+				t.Fatal(err)
 			}
 			base := Options{Quick: true, Seed: 1, tinyRuns: true}
 			plain := f.Run(base)

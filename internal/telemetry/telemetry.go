@@ -10,8 +10,8 @@
 // by the telemnil dcluevet analyzer), and instruments do pure bookkeeping
 // inside existing event handlers — no calendar events, no randomness, no
 // allocation after registration — so an instrumented run is provably
-// bit-identical to an uninstrumented one (Metrics.FingerprintSansTelemetry
-// is the regression hook).
+// bit-identical to an uninstrumented one (Metrics.FingerprintSansObs is
+// the regression hook).
 //
 // Attribution is exact by construction: the link hook receives the very
 // same integer busy slice the link adds to its own busy-time counter and

@@ -10,14 +10,15 @@ import (
 	"dclue/internal/sim"
 )
 
-// Export formats. Span segments and gauges are retained only when
-// KeepEvents was enabled before the runs executed; histogram-only
-// collectors export an empty stream.
+// Export formats. Span segments are retained only when KeepEvents was
+// enabled before the runs executed; histogram-only collectors export an
+// empty stream.
 //
 // Chrome trace_event JSON loads directly in chrome://tracing or Perfetto:
-// each run is a process (pid), each terminal a thread (tid), each phase
-// slice a complete ("X") event and each queue gauge a counter ("C") event.
-// Timestamps are simulated microseconds.
+// each run is a process, each terminal a thread (tid) and each phase slice
+// a complete ("X") event. Timestamps are simulated microseconds. Runs are
+// written in label order and numbered from 1 in that order (the pid), so
+// an export is byte-identical at any sweep width.
 
 // WriteFile exports the collector to path, picking the format from the
 // extension: ".jsonl" writes the JSONL event stream, anything else the
@@ -59,38 +60,31 @@ func (c *Collector) WriteChrome(w io.Writer) error {
 		first = false
 		fmt.Fprintf(bw, format, args...)
 	}
-	for _, r := range c.Runs() {
+	for i, r := range c.Runs() {
+		pid := i + 1
 		emit(`{"name":"process_name","ph":"M","pid":%d,"tid":0,"args":{"name":"%s"}}`,
-			r.pid, jsonEscape(r.label))
+			pid, jsonEscape(r.label))
 		for _, e := range r.events {
 			emit(`{"name":"%s","cat":"txn","ph":"X","ts":%.3f,"dur":%.3f,"pid":%d,"tid":%d,"args":{"span":%d}}`,
-				jsonEscape(e.Name), us(e.Start), us(e.Dur), r.pid, e.TID, e.SpanID)
-		}
-		for _, g := range r.gauges {
-			emit(`{"name":"%s","cat":"queue","ph":"C","ts":%.3f,"pid":%d,"tid":0,"args":{"bytes":%d,"pkts":%d}}`,
-				jsonEscape(g.Name), us(g.T), r.pid, g.Bytes, g.Pkts)
+				jsonEscape(e.Name), us(e.Start), us(e.Dur), pid, e.TID, e.SpanID)
 		}
 	}
 	fmt.Fprint(bw, "\n]\n")
 	return bw.Flush()
 }
 
-// WriteJSONL writes one JSON object per line: span segments ("seg"), whole
-// transactions ("txn") and queue gauges ("gauge"), grouped by run.
+// WriteJSONL writes one JSON object per line: span segments ("seg") and
+// whole transactions ("txn"), grouped by run.
 func (c *Collector) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	for _, r := range c.Runs() {
+	for i, r := range c.Runs() {
 		for _, e := range r.events {
 			kind := "seg"
 			if e.Name == "txn" {
 				kind = "txn"
 			}
 			fmt.Fprintf(bw, `{"type":"%s","run":%d,"label":"%s","span":%d,"tid":%d,"phase":"%s","start_us":%.3f,"dur_us":%.3f}`+"\n",
-				kind, r.pid, jsonEscape(r.label), e.SpanID, e.TID, jsonEscape(e.Name), us(e.Start), us(e.Dur))
-		}
-		for _, g := range r.gauges {
-			fmt.Fprintf(bw, `{"type":"gauge","run":%d,"label":"%s","queue":"%s","t_us":%.3f,"bytes":%d,"pkts":%d}`+"\n",
-				r.pid, jsonEscape(r.label), jsonEscape(g.Name), us(g.T), g.Bytes, g.Pkts)
+				kind, i+1, jsonEscape(r.label), e.SpanID, e.TID, jsonEscape(e.Name), us(e.Start), us(e.Dur))
 		}
 	}
 	return bw.Flush()

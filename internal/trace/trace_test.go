@@ -124,10 +124,12 @@ func TestEnterExitHelpers(t *testing.T) {
 }
 
 // TestExportFormats checks both writers produce parseable output with the
-// expected record shapes.
+// expected record shapes, and number runs in label order rather than
+// registration order.
 func TestExportFormats(t *testing.T) {
 	c := NewCollector(1)
 	c.KeepEvents(0)
+	c.NewRun("z registered first") // no events: only its process record
 	r := c.NewRun(`case "a"`)
 	s := r.StartSpan(0, 5)
 	s.BeginServer(1 * ms)
@@ -135,7 +137,6 @@ func TestExportFormats(t *testing.T) {
 	s.Exit(2 * ms)
 	s.EndServer(2 * ms)
 	s.Finish(3 * ms)
-	r.Gauge(10*ms, "inner0/port1", 4096, 3)
 
 	var chrome strings.Builder
 	if err := c.WriteChrome(&chrome); err != nil {
@@ -145,26 +146,28 @@ func TestExportFormats(t *testing.T) {
 	if err := json.Unmarshal([]byte(chrome.String()), &events); err != nil {
 		t.Fatalf("chrome output is not valid JSON: %v\n%s", err, chrome.String())
 	}
-	var haveTxn, haveCPU, haveGauge bool
+	var haveTxn, haveCPU bool
+	pids := map[string]float64{}
 	for _, e := range events {
 		switch e["name"] {
+		case "process_name":
+			pids[e["args"].(map[string]any)["name"].(string)] = e["pid"].(float64)
 		case "txn":
 			haveTxn = true
-			if e["ph"] != "X" || e["dur"].(float64) != 3000 {
+			if e["ph"] != "X" || e["dur"].(float64) != 3000 || e["pid"].(float64) != 1 {
 				t.Errorf("txn event malformed: %v", e)
 			}
 		case "cpu":
 			haveCPU = true
-		case "inner0/port1":
-			haveGauge = true
-			if e["ph"] != "C" {
-				t.Errorf("gauge not a counter event: %v", e)
-			}
+		default:
+			t.Errorf("unexpected chrome record: %v", e)
 		}
 	}
-	if !haveTxn || !haveCPU || !haveGauge {
-		t.Fatalf("missing chrome records (txn=%v cpu=%v gauge=%v):\n%s",
-			haveTxn, haveCPU, haveGauge, chrome.String())
+	if !haveTxn || !haveCPU {
+		t.Fatalf("missing chrome records (txn=%v cpu=%v):\n%s", haveTxn, haveCPU, chrome.String())
+	}
+	if pids[`case "a"`] != 1 || pids["z registered first"] != 2 {
+		t.Errorf("pids not assigned in label order: %v", pids)
 	}
 
 	var jsonl strings.Builder
@@ -172,8 +175,8 @@ func TestExportFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(jsonl.String()), "\n")
-	if len(lines) != 3 { // cpu seg, txn, gauge
-		t.Fatalf("want 3 JSONL lines, got %d:\n%s", len(lines), jsonl.String())
+	if len(lines) != 2 { // cpu seg, txn
+		t.Fatalf("want 2 JSONL lines, got %d:\n%s", len(lines), jsonl.String())
 	}
 	for _, ln := range lines {
 		var rec map[string]any
@@ -182,6 +185,9 @@ func TestExportFormats(t *testing.T) {
 		}
 		if rec["label"] != `case "a"` {
 			t.Errorf("label mangled by escaping: %q", rec["label"])
+		}
+		if rec["run"] != 1.0 {
+			t.Errorf("run number %v, want 1 (first label)", rec["run"])
 		}
 	}
 }
