@@ -112,8 +112,8 @@ type Coordinator struct {
 type WorkerStatus struct {
 	ID       int    `json:"id"`
 	Alive    bool   `json:"alive"`
-	Restarts uint64 `json:"restarts"` // process restarts after crashes
-	Served   uint64 `json:"served"`   // replies successfully read
+	Restarts uint64 `json:"restarts"`          // process restarts after crashes
+	Served   uint64 `json:"served"`            // replies successfully read
 	Current  string `json:"current,omitempty"` // key of the point in flight
 }
 

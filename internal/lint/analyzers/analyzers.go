@@ -57,25 +57,24 @@ func globalRandExempt(pkgPath string) bool {
 		strings.HasPrefix(pkgPath, "dclue/internal/lint")
 }
 
-// concurrencyExempt: internal/sim owns the coroutine kernel,
-// internal/runner owns the work-stealing sweep pool, and internal/farm owns
-// the multi-process sweep coordinator (goroutine-per-worker dispatch); all
-// other model code must be single-threaded from the kernel's point of view.
+// concurrencyExempt: internal/runner owns the work-stealing sweep pool and
+// internal/farm owns the multi-process sweep coordinator
+// (goroutine-per-worker dispatch); all other code, the coroutine kernel in
+// internal/sim included, must be single-threaded from the kernel's point of
+// view.
 func concurrencyExempt(pkgPath string) bool {
-	return pkgPath == "dclue/internal/sim" ||
-		pkgPath == "dclue/internal/runner" ||
+	return pkgPath == "dclue/internal/runner" ||
 		pkgPath == "dclue/internal/farm" ||
 		strings.HasPrefix(pkgPath, "dclue/internal/lint")
 }
 
 // continuationOnly lists the hot-path packages rebuilt as continuation
-// (callback) actors: they run at per-packet/per-segment event rates where a
-// goroutine-backed sim.Proc step costs two real context switches, so
-// reintroducing Proc or Mailbox there would silently undo the kernel
-// speedup. The bare "continuation" path is the lint fixture standing in for
+// (callback) actors: they run at per-packet/per-segment event rates where
+// every sim.Proc step costs a coroutine switch on top of the callback
+// dispatch, so reintroducing Proc or Mailbox there would silently undo the
+// kernel speedup. The bare "continuation" path is the lint fixture standing in for
 // a real hot-path package (fixture packages have bare import paths).
 func continuationOnly(pkgPath string) bool {
 	return pkgPath == "dclue/internal/netsim" ||
 		pkgPath == "continuation"
 }
-

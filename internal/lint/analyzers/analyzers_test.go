@@ -29,7 +29,7 @@ func TestGoroutine(t *testing.T) {
 
 // TestGoroutineContinuationOnly exercises the continuation-only rule: the
 // fixture package stands in for a hot-path package rebuilt as callback state
-// machines, where goroutine-backed sim primitives are forbidden.
+// machines, where process-backed sim primitives are forbidden.
 func TestGoroutineContinuationOnly(t *testing.T) {
 	linttest.Run(t, analyzers.Goroutine, linttest.Dir("continuation"))
 }
@@ -70,7 +70,7 @@ func TestPolicyExemptions(t *testing.T) {
 		{"simtime", "dclue/internal/sim", false},
 		{"simrand", "dclue/internal/rng", true},
 		{"simrand", "dclue/internal/tpcc", false},
-		{"goroutine", "dclue/internal/sim", true},
+		{"goroutine", "dclue/internal/sim", false},
 		{"goroutine", "dclue/internal/runner", true},
 		{"goroutine", "dclue/internal/farm", true},
 		{"goroutine", "dclue/internal/cliutil", false},
@@ -90,7 +90,7 @@ func TestPolicyExemptions(t *testing.T) {
 		{"dclue/internal/netsim", true},
 		{"continuation", true},             // the lint fixture stands in for a hot path
 		{"dclue/internal/tcp", false},      // still hosts Dial/Mailbox for low-rate callers
-		{"dclue/internal/platform", false}, // app threads remain goroutine-backed Procs
+		{"dclue/internal/platform", false}, // app threads remain Procs
 		{"dclue/internal/core", false},
 	}
 	for _, c := range contCases {

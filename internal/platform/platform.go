@@ -188,10 +188,10 @@ func (r *irqRing) reset() {
 }
 
 // irqService is one interrupt channel: the continuation analogue of the old
-// goroutine-backed irq server. Its three prebuilt callbacks (start → grant →
-// finish) mirror, event for event, the park/wake sequence of the goroutine
-// version — schedule order and simulated times are identical, only the two
-// real context switches per task are gone.
+// process-backed irq server. Its three prebuilt callbacks (start → grant →
+// finish) mirror, event for event, the park/wake sequence of the process
+// version — schedule order and simulated times are identical, only the
+// process switches per task are gone.
 type irqService struct {
 	cpu    *CPU
 	task   irqTask

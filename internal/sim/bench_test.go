@@ -71,9 +71,9 @@ func BenchmarkCancel(b *testing.B) {
 	s.RunAll()
 }
 
-// BenchmarkProcSwitch measures one goroutine-backed process step (park +
-// wake, two real context switches) for comparison against the continuation
-// path benchmarked above.
+// BenchmarkProcSwitch measures one process step (park + wake, a coroutine
+// switch out and back) for comparison against the continuation path
+// benchmarked above.
 func BenchmarkProcSwitch(b *testing.B) {
 	s := New()
 	s.Spawn("bench", func(p *Proc) {
@@ -113,6 +113,48 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 		s.RunAll()
 	}); avg != 0 {
 		t.Errorf("schedule+fire: %v allocs/op, want 0", avg)
+	}
+}
+
+// TestWakeHandOverAllocs pins the wake path's allocations: a woken process
+// is resumed through its prebuilt wakeFn, so a hand-over allocates only the
+// waiter record and the queue slots, never a wake closure or a boxed value.
+func TestWakeHandOverAllocs(t *testing.T) {
+	s := New()
+	mb := NewMailbox(s)
+	s.Spawn("recv", func(p *Proc) {
+		for {
+			mb.Recv(p)
+		}
+	})
+	s.RunAll()
+	v := any(new(int))
+	// Send to the parked receiver: its waiter, the waiter queue slot and the
+	// value queue slot.
+	if avg := testing.AllocsPerRun(200, func() {
+		mb.Send(v)
+		s.RunAll()
+	}); avg != 3 {
+		t.Errorf("mailbox send->recv: %v allocs/op, want 3", avg)
+	}
+
+	// Two processes contend for one server, so every Release hands it to
+	// the other, queued process: per hand-over its waiter and a queue slot.
+	r := NewResource(s, 1)
+	for _, name := range []string{"a", "b"} {
+		s.Spawn(name, func(p *Proc) {
+			for {
+				r.Acquire(p, 0)
+				p.Sleep(10)
+				r.Release()
+			}
+		})
+	}
+	s.Run(s.Now() + 100)
+	if avg := testing.AllocsPerRun(200, func() {
+		s.Run(s.Now() + 20) // two hand-overs
+	}); avg != 4 {
+		t.Errorf("two contended resource hand-overs: %v allocs/op, want 4", avg)
 	}
 }
 

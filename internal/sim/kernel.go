@@ -47,10 +47,9 @@ type Sim struct {
 	stopped bool
 
 	// Process bookkeeping (see proc.go).
-	procs    map[*Proc]struct{}
-	procSeq  uint64 // next spawn-order number
-	current  *Proc
-	handback chan struct{}
+	procs   map[*Proc]struct{}
+	procSeq uint64 // next spawn-order number
+	current *Proc
 
 	// nEvents counts executed events, for diagnostics.
 	nEvents uint64
@@ -287,7 +286,7 @@ func (s *Sim) OnDeadlock(fn func(*DeadlockError)) { s.onDeadlock = fn }
 func (s *Sim) BlockedProcs() []string {
 	var names []string
 	for p := range s.procs {
-		if p.started() && !p.done {
+		if p.w != nil { // bound to a worker: started and not finished
 			names = append(names, p.name)
 		}
 	}

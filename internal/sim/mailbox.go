@@ -12,6 +12,8 @@ type Mailbox struct {
 
 type mboxWaiter struct {
 	p        *Proc
+	val      any  // the value handed over, valid once removed
+	ok       bool // false if the wait timed out
 	timer    EventID
 	hasTimer bool
 	removed  bool
@@ -42,20 +44,15 @@ func (m *Mailbox) dispatch() {
 			continue
 		}
 		w.removed = true
-		v := m.vals[0]
+		w.val, w.ok = m.vals[0], true
 		m.vals = m.vals[1:]
 		if w.hasTimer {
 			m.sim.Cancel(w.timer)
 			w.timer = EventID{} // drop the stale handle; the slot will be recycled
 			w.hasTimer = false
 		}
-		m.sim.After(0, func() { w.p.wake(recvResult{v, true}) })
+		m.sim.After(0, w.p.wakeFn)
 	}
-}
-
-type recvResult struct {
-	val any
-	ok  bool
 }
 
 // Recv blocks the calling process until a value is available and returns it.
@@ -92,9 +89,9 @@ func (m *Mailbox) RecvTimeout(p *Proc, d Time) (any, bool) {
 				return
 			}
 			w.removed = true
-			p.wake(recvResult{nil, false})
+			p.wake()
 		})
 	}
-	r := p.park().(recvResult)
-	return r.val, r.ok
+	p.park()
+	return w.val, w.ok
 }

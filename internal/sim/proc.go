@@ -1,34 +1,33 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"sort"
+	"sync"
 )
 
-// killSentinel is the panic value used to unwind a killed process.
+// killPanic is the panic value used to unwind a killed process.
 type killPanic struct{}
 
-// resumeMsg is what the kernel hands a parked process when waking it.
-type resumeMsg struct {
-	kill bool
-	val  any
-}
-
-// Proc is a simulated process: a Go function running on its own goroutine
-// under strict hand-off with the kernel. Exactly one goroutine — either the
-// kernel or one process — runs at any instant, so process code needs no
-// locking and the simulation stays deterministic.
+// Proc is a simulated process: a Go function on a stdlib coroutine
+// (iter.Pull) that the kernel resumes with next and that parks with yield,
+// so exactly one of them runs at any instant: process code needs no locking
+// and the simulation stays deterministic.
 //
 // All Proc methods must be called from the process's own function.
 type Proc struct {
-	sim         *Sim
-	name        string
-	seq         uint64 // spawn order; fixes iteration order over proc sets
-	resume      chan resumeMsg
-	done        bool
-	goroutineUp bool
-	span        any
-	wakeFn      func() // prebuilt wake(nil) continuation, so Sleep never allocates
+	sim    *Sim
+	name   string
+	seq    uint64 // spawn order; fixes iteration order over proc sets
+	done   bool
+	killed bool // set by Kill: the process unwinds when park returns
+	span   any
+	fn     func(*Proc)
+	wakeFn func()  // prebuilt wake continuation, so Sleep never allocates
+	w      *worker // the coroutine running the process, from start until done
 }
 
 // Name returns the process name given at Spawn time.
@@ -60,76 +59,104 @@ func (p *Proc) Span() any { return p.span }
 // current simulated time. fn runs until it returns, blocks on a kernel
 // primitive, or the process is killed.
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{sim: s, name: name, seq: s.procSeq, resume: make(chan resumeMsg)}
-	p.wakeFn = func() { p.wake(nil) }
+	p := &Proc{sim: s, name: name, seq: s.procSeq, fn: fn}
+	p.wakeFn = p.wake
 	s.procSeq++
 	s.procs[p] = struct{}{}
-	s.After(0, func() { p.start(fn) })
+	s.After(0, p.start)
 	return p
 }
 
-// handback lazily creates the kernel hand-back channel.
-func (s *Sim) handbackCh() chan struct{} {
-	if s.handback == nil {
-		s.handback = make(chan struct{})
-	}
-	return s.handback
+// worker is a pooled coroutine that runs processes one after another.
+// Workers never exit: under the race detector an exited coroutine leaks the
+// detector's per-goroutine state (Go 1.24 ends it without the goroutine-exit
+// hook), and a cluster run spawns thousands of processes.
+type worker struct {
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	p     *Proc // the bound process, nil while idle
 }
 
-// start launches the process goroutine and runs it until its first yield.
+// idle holds the unbound workers of every simulation in the program;
+// simulations on different goroutines share it, hence the lock.
+var idle struct {
+	sync.Mutex
+	ws []*worker
+}
+
+// loop is the worker's coroutine body: run the bound process to its end,
+// then park until start binds the next one.
+func (w *worker) loop(yield func(struct{}) bool) {
+	w.yield = yield
+	for {
+		w.p.run()
+		w.p = nil
+		yield(struct{}{})
+	}
+}
+
+// start binds the process to a worker and runs it until its first park.
 // Called from kernel context (an event).
-func (p *Proc) start(fn func(*Proc)) {
+func (p *Proc) start() {
 	if p.done {
 		return // killed before its start event fired
 	}
-	s := p.sim
-	hb := s.handbackCh()
-	p.goroutineUp = true
-	s.current = p
-	if s.tracer != nil {
+	idle.Lock()
+	if n := len(idle.ws); n > 0 {
+		p.w, idle.ws = idle.ws[n-1], idle.ws[:n-1]
+	}
+	idle.Unlock()
+	if p.w == nil {
+		p.w = &worker{}
+		p.w.next, _ = iter.Pull(p.w.loop)
+	}
+	p.w.p = p
+	if s := p.sim; s.tracer != nil {
 		s.tracer.ProcStart(s.now, p.name)
 	}
-	go func() {
-		defer func() {
-			r := recover()
-			p.done = true
-			delete(s.procs, p)
-			_, killed := r.(killPanic)
-			if r != nil && !killed {
-				// A real model bug: crash loudly with context.
-				panic(fmt.Sprintf("sim: process %q panicked at %v: %v", p.name, s.now, r))
-			}
-			if s.tracer != nil {
-				s.tracer.ProcEnd(s.now, p.name, killed)
-			}
-			hb <- struct{}{}
-		}()
-		fn(p)
-	}()
-	<-hb
-	s.current = nil
+	p.wake()
 }
 
-// park yields control to the kernel and blocks until some event calls wake.
-// Returns the value passed to wake.
-func (p *Proc) park() any {
+// run executes the process function on its worker and settles its end.
+func (p *Proc) run() {
+	s := p.sim
+	defer func() {
+		r := recover()
+		p.done = true
+		p.fn = nil
+		delete(s.procs, p)
+		_, killed := r.(killPanic)
+		if r != nil && !killed {
+			// A real model bug: re-panic with context. iter.Pull carries
+			// the panic out of the coroutine to the kernel's caller.
+			panic(fmt.Sprintf("sim: process %q panicked at %v: %v", p.name, s.now, r))
+		}
+		if s.tracer != nil {
+			s.tracer.ProcEnd(s.now, p.name, killed)
+		}
+	}()
+	p.fn(p)
+}
+
+// park yields control to the kernel until some event calls wake, then
+// unwinds the process if that wake came from kill.
+func (p *Proc) park() {
 	s := p.sim
 	if s.current != p {
 		panic(fmt.Sprintf("sim: process %q parking while not current", p.name))
 	}
 	s.current = nil
-	s.handbackCh() <- struct{}{}
-	msg := <-p.resume
-	if msg.kill {
+	p.w.yield(struct{}{})
+	if p.killed {
 		panic(killPanic{})
 	}
-	return msg.val
 }
 
-// wake resumes a parked process, handing it val. Must be called from kernel
-// context (inside an event, never from another process); primitives ensure
-// this by scheduling wakes on the calendar.
-func (p *Proc) wake(val any) {
+// wake resumes a parked process and returns once it parks again or
+// finishes; a finished process's worker goes back to the pool. Must be
+// called from kernel context (inside an event, never from another process);
+// primitives ensure this by scheduling wakes on the calendar.
+func (p *Proc) wake() {
 	s := p.sim
 	if s.current != nil {
 		panic("sim: wake from non-kernel context")
@@ -138,21 +165,14 @@ func (p *Proc) wake(val any) {
 		return
 	}
 	s.current = p
-	p.resume <- resumeMsg{val: val}
-	<-s.handbackCh()
+	p.w.next()
 	s.current = nil
-}
-
-// wakeKill resumes a parked process with the kill flag, unwinding it.
-func (p *Proc) wakeKill() {
-	s := p.sim
 	if p.done {
-		return
+		idle.Lock()
+		idle.ws = append(idle.ws, p.w)
+		idle.Unlock()
+		p.w = nil
 	}
-	s.current = p
-	p.resume <- resumeMsg{kill: true}
-	<-s.handbackCh()
-	s.current = nil
 }
 
 // Sleep suspends the process for d of simulated time.
@@ -182,7 +202,7 @@ func (s *Sim) LiveProcs() int { return len(s.procs) }
 
 // Shutdown kills every live process. Parked processes unwind immediately
 // (their deferred functions run); processes whose start event has not fired
-// yet are marked so they terminate on their first yield. Shutdown must be
+// yet are marked dead so that event no-ops. Shutdown must be
 // called from kernel context (i.e., not from inside a process), typically
 // after Run returns.
 func (s *Sim) Shutdown() {
@@ -200,16 +220,7 @@ func (s *Sim) Shutdown() {
 		}
 		sort.Slice(victims, func(i, j int) bool { return victims[i].seq < victims[j].seq })
 		for _, p := range victims {
-			if p.done {
-				continue
-			}
-			if !p.started() {
-				// Start event has not fired; run it as a killed start.
-				p.done = true
-				delete(s.procs, p)
-				continue
-			}
-			p.wakeKill()
+			s.Kill(p)
 		}
 	}
 }
@@ -226,15 +237,15 @@ func (s *Sim) Kill(p *Proc) {
 	if p.done {
 		return
 	}
-	if !p.started() {
+	if p.w == nil { // start event not fired yet
 		p.done = true
 		delete(s.procs, p)
 		return
 	}
-	p.wakeKill()
+	// Every park returns into a kill panic from here on; a deferred call
+	// that parks again is woken again and unwinds from there.
+	p.killed = true
+	for !p.done {
+		p.wake()
+	}
 }
-
-// started reports whether the process goroutine exists. A process whose
-// start event has not yet fired has no goroutine; its resume channel has
-// never been handed to one. We track this with a flag set in start.
-func (p *Proc) started() bool { return p.goroutineUp }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -128,6 +129,30 @@ func TestShutdownBeforeStart(t *testing.T) {
 	s.RunAll()
 	if ran {
 		t.Fatal("process killed before start still ran")
+	}
+}
+
+func TestWorkersReused(t *testing.T) {
+	// Processes that finish hand their coroutine back for the next Spawn, so
+	// a run creates only as many coroutines as it has live processes.
+	idleCount := func() int {
+		idle.Lock()
+		defer idle.Unlock()
+		return len(idle.ws)
+	}
+	s := New()
+	s.Spawn("warm", func(p *Proc) {})
+	s.RunAll()
+	before := idleCount()
+	if before == 0 {
+		t.Fatal("a finished process did not return its worker")
+	}
+	for i := 0; i < 100; i++ {
+		s.Spawn("short", func(p *Proc) { p.Sleep(1) })
+		s.RunAll()
+	}
+	if got := idleCount(); got != before {
+		t.Fatalf("idle workers %d after 100 sequential processes, want %d", got, before)
 	}
 }
 
@@ -352,14 +377,44 @@ func TestResourceReleaseIdlePanics(t *testing.T) {
 }
 
 func TestProcPanicPropagates(t *testing.T) {
-	// A model panic inside a process should crash with context; we can't
-	// catch a panic on another goroutine, so this test only checks the
-	// killPanic pathway doesn't mask completion bookkeeping.
+	// A model panic inside a process reaches RunAll's caller, wrapped with
+	// the process name and the simulated time.
 	s := New()
-	done := false
-	s.Spawn("ok", func(p *Proc) { done = true })
+	s.Spawn("bad", func(p *Proc) {
+		p.Sleep(5)
+		panic("boom")
+	})
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, `process "bad" panicked at`) || !strings.Contains(msg, "boom") {
+			t.Fatalf("recovered %q, want the process name, time and panic value", msg)
+		}
+	}()
 	s.RunAll()
-	if !done {
-		t.Fatal("process did not run")
+	t.Fatal("RunAll returned despite the process panic")
+}
+
+func TestShutdownWithParkingDefer(t *testing.T) {
+	// A dying process whose deferred cleanup parks again must still unwind:
+	// kill wakes it again, and it unwinds from the park inside the defer.
+	s := New()
+	ct := NewCountingTracer()
+	s.SetTracer(ct)
+	cleaned := false
+	s.Spawn("p", func(p *Proc) {
+		defer func() { cleaned = true }()
+		defer p.Sleep(1)
+		p.Sleep(Second)
+	})
+	s.Run(10 * Millisecond)
+	s.Shutdown()
+	if !cleaned {
+		t.Fatal("deferred cleanup did not run on Shutdown")
+	}
+	if s.LiveProcs() != 0 {
+		t.Fatalf("%d live procs after Shutdown", s.LiveProcs())
+	}
+	if ct.Kills["p"] != 1 || ct.Ends["p"] != 1 {
+		t.Fatalf("kills=%d ends=%d, want 1 and 1", ct.Kills["p"], ct.Ends["p"])
 	}
 }

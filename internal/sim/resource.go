@@ -19,8 +19,8 @@ type Resource struct {
 }
 
 type resWaiter struct {
-	p       *Proc  // goroutine-backed waiter, or
-	fn      func() // continuation waiter (callback actors; see AcquireFunc)
+	fn      func() // runs with the server held: a process's wakeFn or an AcquireFunc continuation
+	p       *Proc  // the parked process, nil for a continuation waiter
 	prio    int
 	arrived Time
 }
@@ -97,17 +97,11 @@ func (r *Resource) TryAcquire() bool {
 // Acquire claims a server, blocking the process in priority-FIFO order
 // until one is free. Lower prio values are served first.
 func (r *Resource) Acquire(p *Proc, prio int) {
-	if r.inUse < r.capacity && len(r.queue) == 0 {
-		r.accountBusy()
-		r.inUse++
-		r.lastBusy = r.inUse
+	if r.TryAcquire() {
 		return
 	}
-	w := &resWaiter{p: p, prio: prio, arrived: r.sim.now}
-	r.enqueue(w)
+	r.enqueue(&resWaiter{fn: p.wakeFn, p: p, prio: prio, arrived: r.sim.now})
 	p.park()
-	r.totalWaits++
-	r.totalWaitTime += r.sim.now - w.arrived
 }
 
 // AcquireFunc is the continuation-style Acquire for callback actors: if a
@@ -117,10 +111,7 @@ func (r *Resource) Acquire(p *Proc, prio int) {
 // process) once a server is handed to it. The caller must eventually call
 // Release from fn's continuation chain. Kernel context only.
 func (r *Resource) AcquireFunc(prio int, fn func()) {
-	if r.inUse < r.capacity && len(r.queue) == 0 {
-		r.accountBusy()
-		r.inUse++
-		r.lastBusy = r.inUse
+	if r.TryAcquire() {
 		fn()
 		return
 	}
@@ -151,21 +142,14 @@ func (r *Resource) Release() {
 	for len(r.queue) > 0 {
 		w := r.queue[0]
 		r.queue = r.queue[1:]
-		if w.fn != nil {
-			// Continuation waiter: the server passes directly to it; the
-			// continuation runs through the calendar exactly where a woken
-			// process would. Wait accounting happens here (same simulated
-			// instant the woken process would record it).
-			r.totalWaits++
-			r.totalWaitTime += r.sim.now - w.arrived
-			r.sim.After(0, w.fn)
-			return
-		}
-		if w.p.done {
+		if w.p != nil && w.p.done {
 			continue // waiter was killed while queued; do not strand the server on it
 		}
-		// Server passes directly to the waiter; inUse unchanged.
-		r.sim.After(0, func() { w.p.wake(nil) })
+		// The server passes directly to the waiter (inUse unchanged), and
+		// its continuation runs through the calendar.
+		r.totalWaits++
+		r.totalWaitTime += r.sim.now - w.arrived
+		r.sim.After(0, w.fn)
 		return
 	}
 	r.inUse--

@@ -1,10 +1,11 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel has two layers. The lower layer is a classic event calendar: a
-// binary heap of (time, sequence, callback) entries executed in order by
+// 4-ary heap of (time, sequence, callback) entries executed in order by
 // Run. The upper layer provides lightweight simulated processes: ordinary
-// Go functions that run on their own goroutine but under strict hand-off,
-// so exactly one goroutine (the kernel or a single process) is ever running.
+// Go functions run as stdlib coroutines (iter.Pull) that the kernel resumes
+// from its events, so exactly one of them (the kernel or a single process)
+// is ever running.
 // This keeps simulations fully deterministic while letting model code be
 // written in a natural blocking style (Sleep, Wait, Acquire, ...).
 package sim

@@ -11,7 +11,7 @@ import (
 type Tracer interface {
 	// Event fires for every executed calendar event.
 	Event(t Time, seq uint64)
-	// ProcStart fires when a process's goroutine begins running.
+	// ProcStart fires when a process's coroutine begins running.
 	ProcStart(t Time, name string)
 	// ProcEnd fires when a process function returns or is killed.
 	ProcEnd(t Time, name string, killed bool)

@@ -60,7 +60,7 @@ func TestWriterTracerEventLines(t *testing.T) {
 		t.Fatalf("no event lines without ProcsOnly:\n%s", out)
 	}
 	// Event lines carry the simulated timestamp in sim.Time's format.
-	if !strings.Contains(out, (5 * Millisecond).String()+" event #") {
+	if !strings.Contains(out, (5*Millisecond).String()+" event #") {
 		t.Fatalf("event line missing formatted timestamp:\n%s", out)
 	}
 	if !strings.Contains(out, "start p1") || !strings.Contains(out, "end p1") {

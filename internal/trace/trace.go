@@ -333,7 +333,7 @@ func (s *Span) EndServer(now sim.Time) {
 func (s *Span) Finish(now sim.Time) {
 	if s.inServer {
 		// Defensive: a reply observed before EndServer cannot happen under
-		// the strict hand-off kernel; close the books anyway.
+		// the sequential kernel; close the books anyway.
 		s.EndServer(now)
 	}
 	total := now - s.start
